@@ -5,36 +5,17 @@ Expected outputs are asserted structurally against the exact mirror trees
 the reference builds, error strings byte-for-byte.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from yaschva_ray import UNDEFINED, SchemaError, load_json, validate
 
-# examples/example1.json:1-25 (conformance fixture, $schema stripped by load_json)
-EXAMPLE1 = {
-    "$schema": "https://yaschva.com/schema.json",
-    "$types": {
-        "$addressType": {
-            "name": "string",
-            "street": "string",
-            "city": "string",
-            "country": "string",
-        }
-    },
-    "myAddress": "$addressType",
-    "myString": "string",
-    "myOptionalString": ["?", "string"],
-    "myObject": {
-        "myNumberInsideAnObject": "number",
-        "myDetailedNumberInsideAnObject": {"$number": {"min": 0, "max": 18}},
-    },
-    "myArrayOfNumbers": {"$array": "number"},
-    "myEnum": {"$enum": ["enum1", "enum2"]},
-    "myKeyValuePairs": {"$map": "string"},
-    "myMultiType": ["string", "number"],
-    "myNumberRange": {"$number": {"min": 4, "max": 9}},
-    "myNull": "null",
-    "myRegex": {"$string": {"regex": "\\b(\\w*work\\w*)\\b"}},
-}
+# examples/example1.json:1-25, transcribed to tests/fixtures/example1.json
+# (conformance fixture, $schema stripped by load_json)
+EXAMPLE1_PATH = Path(__file__).parent / "fixtures" / "example1.json"
+EXAMPLE1 = json.loads(EXAMPLE1_PATH.read_text())
 
 
 def test_example_schema_working():

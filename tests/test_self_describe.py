@@ -5,17 +5,21 @@ SELF_SCHEMA is a yaschva schema that describes the yaschva schema language
 itself — exercising $map (arbitrary-key schema objects with a key regex),
 $array, ordered unions, escaped $-keys, and RECURSION through $types in one
 fixture — and is used to validate the reference's own example schema
-(/root/reference/examples/example1.json) plus this repo's pipeline schemas
-through BOTH evaluation paths (row oracle and compiled closure tree), which
-must produce identical result trees.
+(examples/example1.json, transcribed to tests/fixtures/example1.json; where
+the reference checkout is present, its copy is checked too and must equal the
+fixture) plus this repo's pipeline schemas through BOTH evaluation paths (row
+oracle and compiled closure tree), which must produce identical result trees.
 """
 
 import json
+import os
 
 import pytest
 
 from yaschva_ray import load_json, validate
 from yaschva_ray.compiled import compile_validator
+
+from test_oracle_validate import EXAMPLE1_PATH
 
 _META = {"name": ["?", "string"], "description": ["?", "string"]}
 
@@ -77,12 +81,23 @@ def _both(schema, value):
     return a
 
 
+REFERENCE_EXAMPLE1 = "/root/reference/examples/example1.json"
+
+
 def test_validates_reference_example1():
-    with open("/root/reference/examples/example1.json") as f:
-        doc = load_json(f.read())  # strips $schema
-    types_block = doc.pop("$types")
-    assert _both(SELF_SCHEMA, doc)["result"] == "pass"
-    assert _both(TYPES_BLOCK_SCHEMA, types_block)["result"] == "pass"
+    paths = [EXAMPLE1_PATH]
+    if os.path.exists(REFERENCE_EXAMPLE1):
+        paths.append(REFERENCE_EXAMPLE1)
+    docs = []
+    for path in paths:
+        with open(path) as f:
+            doc = load_json(f.read())  # strips $schema
+        docs.append(dict(doc))
+        types_block = doc.pop("$types")
+        assert _both(SELF_SCHEMA, doc)["result"] == "pass", path
+        assert _both(TYPES_BLOCK_SCHEMA, types_block)["result"] == "pass", path
+    # the in-repo transcription must not drift from the reference's file
+    assert all(d == docs[0] for d in docs)
 
 
 def test_validates_own_pipeline_schemas():

@@ -46,6 +46,8 @@ after quantization → |logit| ≤ 7·10^14 ≪ 2^63; letter counts ≤ 10^6,
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -422,15 +424,17 @@ def _feat_moment_partial(*blocks: pa.Table):
 
 
 def _grad_partial(params, *blocks: pa.Table):
-    """Per-chunk logistic gradient partial given (w, b, mu, sigma) —
-    shipped BY VALUE (O(features) bytes; a ray.put broadcast would buy
-    nothing at this size): returns (Z^T g, Σg, n) in float64."""
+    """Per-block logistic gradient partials for one chunk given (w, b,
+    mu, sigma) — shipped BY VALUE (O(features) bytes; a ray.put
+    broadcast would buy nothing at this size): returns ([Z^T g per
+    block], [Σg per block], n) in float64.  Blocks are NOT summed here:
+    the driver's exactly rounded merge needs the per-block terms."""
     from ..engine.sketches import limit_worker_threads
 
     limit_worker_threads()
     w, b, mu, sigma = params
-    G = np.zeros(len(w))
-    sg = 0.0
+    Gs = []
+    sgs = []
     n = 0
     for blk in blocks:
         if not blk.num_rows:
@@ -443,10 +447,10 @@ def _grad_partial(params, *blocks: pa.Table):
                        np.float64)
         p = 1.0 / (1.0 + np.exp(-(Z @ w + b)))
         g = p - y
-        G += Z.T @ g
-        sg += float(g.sum())
+        Gs.append(Z.T @ g)
+        sgs.append(float(g.sum()))
         n += len(g)
-    return G, sg, n
+    return Gs, sgs, n
 
 
 def train_quality_classifier_distributed(ds, lr: float = 0.5,
@@ -458,17 +462,19 @@ def train_quality_classifier_distributed(ds, lr: float = 0.5,
     extraction pass materializes a compact (features, label) table (7
     int64 columns — the raw text never re-scans), then each GD
     iteration ships (w, b, mu, sigma) by value (O(features) bytes) and
-    one raw-task round over the cached feature blocks returns per-chunk
-    gradient partials
-    (6 floats + 2 scalars each); the driver merges IN CHUNK-INDEX ORDER
-    (deterministic for a fixed partitioning) and steps.
+    one raw-task round over the cached feature blocks returns per-block
+    gradient partials (6 floats + 1 scalar each); the driver merges them
+    with exactly rounded sums (``math.fsum``) and steps.  An exact sum
+    does not depend on the order of its terms, so the weights are
+    bit-identical for a fixed partitioning whatever order Ray Data
+    hands the blocks back in (completion order, not read order).
     Standardization moments are INT64-exact (partition-independent);
     the float gradient sums match the driver-local trainer to ~1 ulp
     per merge, so the QUANTIZED artifact agrees (asserted in tests) —
     and the deployed model is pinned anyway (training is offline).
 
     At 100 TB: the feature table is ~56 bytes/doc (vs KBs of text), the
-    per-iteration network cost is 64 bytes per chunk, and driver state
+    per-iteration network cost is 56 bytes per block, and driver state
     is O(features).  Batch-GD wants few, large steps — for epochs over
     corpus-scale data swap in mini-batch rounds over the same chunk
     machinery.
@@ -534,9 +540,10 @@ def train_quality_classifier_distributed(ds, lr: float = 0.5,
 
     for i in range(start, iters):
         parts = ray.get([_GRAD_REMOTE.remote((w, b, mu, sigma), *ch)
-                         for ch in chunks])  # chunk-index order
-        G = np.sum([p[0] for p in parts], axis=0)
-        sg = sum(p[1] for p in parts)
+                         for ch in chunks])
+        G = np.array([math.fsum(c) for c in
+                      zip(*(g for p in parts for g in p[0]))])
+        sg = math.fsum(x for p in parts for x in p[1])
         w -= lr * G / n_tot
         b -= lr * sg / n_tot
         if checkpoint_path is not None \
